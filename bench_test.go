@@ -103,25 +103,14 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(totalInsts)/b.Elapsed().Seconds(), "insts/s")
 }
 
-// BenchmarkKernelEventQueue measures the event kernel's classic
-// closure path (Engine.After + drain, the canonical steady-state
-// workload in sim.RunSteadyState). With the pooled calendar queue
-// this runs allocation-free in steady state.
-func BenchmarkKernelEventQueue(b *testing.B) {
-	eng := sim.NewEngine()
-	b.ResetTimer()
-	if sim.RunSteadyState(eng, b.N, false) == 0 {
-		b.Fatal("no events ran")
-	}
-}
-
-// BenchmarkKernelEventQueuePooled measures the allocation-free AtFunc
-// path the hot components use: a static trampoline with receiver and
-// argument packed into the pooled event node.
+// BenchmarkKernelEventQueuePooled measures the event kernel's
+// canonical steady state (sim.RunSteadyState) on its one scheduling
+// path: a static trampoline with receiver and argument packed into
+// the pooled event node, allocation-free.
 func BenchmarkKernelEventQueuePooled(b *testing.B) {
 	eng := sim.NewEngine()
 	b.ResetTimer()
-	if sim.RunSteadyState(eng, b.N, true) == 0 {
+	if sim.RunSteadyState(eng, b.N) == 0 {
 		b.Fatal("no events ran")
 	}
 }

@@ -1,27 +1,22 @@
 // Command mlbench runs the kernel microbenchmarks and one end-to-end
 // artifact benchmark, writes the results as JSON (BENCH_10.json in CI)
-// and enforces two contracts: steady-state Engine.After + Drain
-// scheduling must perform zero allocations per event, and a
-// shared-prefix campaign sweep must run at least 2x faster warm
-// (prefix checkpointing on) than cold — or the command exits nonzero.
+// and enforces three contracts — or the command exits nonzero:
+// steady-state Engine.AfterFunc + Drain scheduling must perform zero
+// allocations per event, a shared-prefix campaign sweep must run at
+// least 2x faster warm (prefix checkpointing on) than cold, and
+// refusal hints must make the stall-heavy InOrder row at least 1.5x
+// faster than cycle-stepping retries.
 //
 // Every row records wall-clock time and iteration count alongside the
 // allocation counters, and the simulator-throughput rows carry
 // insts_per_sec — including a sampled variant that prices the
-// telemetry interval sampler against the unsampled run. The slab
-// promotion rows price the overflow heap's batch-promotion path
-// against the one-pop-at-a-time baseline on the identical workload,
-// and the campaign/shared-prefix pair prices warm-state checkpointing
-// against cold execution of the same plan.
+// telemetry interval sampler against the unsampled run. Each gate
+// compares two rows measured in the same process on the same host;
+// comparisons against another revision are perfbench's job.
 //
 // Usage:
 //
 //	mlbench [-out BENCH_10.json] [-scale 4] [-artifact fig8] [-skip-artifact]
-//
-// The JSON also carries the recorded seed-kernel baseline (the
-// container/heap engine with per-cycle stepping, measured on the
-// reference machine before the calendar-queue rewrite) so the
-// end-to-end speedup of the rewrite stays visible in the artifact.
 package main
 
 import (
@@ -45,16 +40,6 @@ import (
 	"microlib/internal/workload"
 )
 
-// seedBaseline records the pre-rewrite kernel on the reference
-// machine (Intel Xeon @ 2.10GHz, linux/amd64, MICROLIB_SCALE=4).
-// Speedup ratios in the report are only meaningful on comparable
-// hardware; the allocation gate is machine-independent.
-var seedBaseline = map[string]Result{
-	"kernel/after-drain":   {Name: "kernel/after-drain", NsPerOp: 142.1, AllocsPerOp: 3, BytesPerOp: 64},
-	"sim-throughput":       {Name: "sim-throughput", NsPerOp: 58764333, AllocsPerOp: 665500, BytesPerOp: 21000736, Extra: map[string]float64{"insts_per_sec": 1021029}},
-	"artifact/fig8/scale4": {Name: "artifact/fig8/scale4", NsPerOp: 48488197464},
-}
-
 // Result is one benchmark row.
 type Result struct {
 	Name        string  `json:"name"`
@@ -70,16 +55,14 @@ type Result struct {
 
 // Report is the BENCH_10.json document.
 type Report struct {
-	GoVersion    string             `json:"go_version"`
-	GOOS         string             `json:"goos"`
-	GOARCH       string             `json:"goarch"`
-	Scale        uint64             `json:"scale"`
-	Results      []Result           `json:"results"`
-	SeedBaseline map[string]Result  `json:"seed_baseline"`
-	Speedup      map[string]float64 `json:"speedup_vs_seed,omitempty"`
-	AllocGate    string             `json:"alloc_gate"`
-	WarmGate     string             `json:"warm_gate"`
-	RetryGate    string             `json:"retry_gate"`
+	GoVersion string   `json:"go_version"`
+	GOOS      string   `json:"goos"`
+	GOARCH    string   `json:"goarch"`
+	Scale     uint64   `json:"scale"`
+	Results   []Result `json:"results"`
+	AllocGate string   `json:"alloc_gate"`
+	WarmGate  string   `json:"warm_gate"`
+	RetryGate string   `json:"retry_gate"`
 }
 
 func bench(name string, f func(b *testing.B)) Result {
@@ -104,67 +87,41 @@ func main() {
 	flag.Parse()
 
 	rep := Report{
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		Scale:        *scale,
-		SeedBaseline: seedBaseline,
-		Speedup:      map[string]float64{},
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		Scale:     *scale,
 	}
 
-	// Kernel microbenchmarks: the two steady-state scheduling paths,
-	// running the same canonical workload the sim and root-package
-	// benchmarks measure (sim.RunSteadyState), so the gated workload
-	// cannot drift from the documented one.
-	kernelClosure := bench("kernel/after-drain", func(b *testing.B) {
+	// Kernel microbenchmark: the steady-state scheduling path, running
+	// the same canonical workload the sim and root-package benchmarks
+	// measure (sim.RunSteadyState), so the gated workload cannot drift
+	// from the documented one.
+	kernel := bench("kernel/afterfunc-drain", func(b *testing.B) {
 		eng := sim.NewEngine()
 		b.ResetTimer()
-		sim.RunSteadyState(eng, b.N, false)
+		sim.RunSteadyState(eng, b.N)
 	})
-	kernelPooled := bench("kernel/afterfunc-drain", func(b *testing.B) {
-		eng := sim.NewEngine()
-		b.ResetTimer()
-		sim.RunSteadyState(eng, b.N, true)
-	})
-	rep.Results = append(rep.Results, kernelClosure, kernelPooled)
+	rep.Results = append(rep.Results, kernel)
 
 	// Overflow slab promotion: a window jump carries a whole slab of
 	// far-future events into the ring at once (skip phases, warm-state
-	// restores). The popwise row runs the identical workload with the
-	// batch path disabled, so their ratio is the ns/op delta of the
-	// batch-promotion optimization itself.
+	// restores), served by the batch partition-and-reheapify path.
 	const slab = 4096
 	slabBatch := bench("kernel/slab-promotion", func(b *testing.B) {
 		eng := sim.NewEngine()
-		sim.RunSlabPromotion(eng, slab, false)
+		sim.RunSlabPromotion(eng, slab)
 		b.ResetTimer()
 		var fired uint64
 		for i := 0; i < b.N; i++ {
-			fired += sim.RunSlabPromotion(eng, slab, false)
+			fired += sim.RunSlabPromotion(eng, slab)
 		}
 		if fired == 0 {
 			b.Fatal("no events ran")
 		}
 	})
-	slabPopwise := bench("kernel/slab-promotion/popwise", func(b *testing.B) {
-		eng := sim.NewEngine()
-		sim.RunSlabPromotion(eng, slab, true)
-		b.ResetTimer()
-		var fired uint64
-		for i := 0; i < b.N; i++ {
-			fired += sim.RunSlabPromotion(eng, slab, true)
-		}
-		if fired == 0 {
-			b.Fatal("no events ran")
-		}
-	})
-	slabBatch.Extra = map[string]float64{
-		"events_per_op":      slab,
-		"speedup_vs_popwise": slabPopwise.NsPerOp / slabBatch.NsPerOp,
-		"delta_ns_per_op":    slabPopwise.NsPerOp - slabBatch.NsPerOp,
-		"delta_ns_per_event": (slabPopwise.NsPerOp - slabBatch.NsPerOp) / slab,
-	}
-	rep.Results = append(rep.Results, slabBatch, slabPopwise)
+	slabBatch.Extra = map[string]float64{"events_per_op": slab}
+	rep.Results = append(rep.Results, slabBatch)
 
 	// Stall-heavy core rows: a tiny single-port, single-MSHR L1D makes
 	// the cores absorb a refusal on most submits, which is exactly the
@@ -345,20 +302,13 @@ func main() {
 		})
 	}
 
-	for _, res := range rep.Results {
-		if base, ok := seedBaseline[res.Name]; ok && res.NsPerOp > 0 {
-			rep.Speedup[res.Name] = base.NsPerOp / res.NsPerOp
-		}
-	}
-
 	// The allocation gate: zero steady-state allocations per
-	// scheduled event on both kernel paths.
-	gateFailed := kernelClosure.AllocsPerOp > 0 || kernelPooled.AllocsPerOp > 0
+	// scheduled event on the kernel's scheduling path.
+	gateFailed := kernel.AllocsPerOp > 0
 	if gateFailed {
-		rep.AllocGate = fmt.Sprintf("FAIL: after-drain=%d allocs/op, afterfunc-drain=%d allocs/op (want 0)",
-			kernelClosure.AllocsPerOp, kernelPooled.AllocsPerOp)
+		rep.AllocGate = fmt.Sprintf("FAIL: afterfunc-drain=%d allocs/op (want 0)", kernel.AllocsPerOp)
 	} else {
-		rep.AllocGate = "PASS: 0 allocs/op on both kernel scheduling paths"
+		rep.AllocGate = "PASS: 0 allocs/op on the kernel scheduling path"
 	}
 
 	// The warm gate: prefix checkpointing must at least halve the

@@ -17,6 +17,7 @@
 //	mlcampaign list -cache .mlcache
 //	mlcampaign prune -cache .mlcache -older-than 720h
 //	mlcampaign prune -cache .mlcache -spec sweep.json -dry-run
+//	mlcampaign prune -ckpt .mlckpt -spec sweep.json -dry-run
 //	mlcampaign record -workload gzip -out gzip.mlt -insts 250000
 //
 // A campaign interrupted with ^C leaves every finished cell in the
@@ -96,7 +97,7 @@ func usage() {
   mlcampaign validate [-quiet] [-set path=value]... file.json [file2.json ...]
   mlcampaign list  [-cache dir]
   mlcampaign paths
-  mlcampaign prune -cache dir [-older-than dur] [-spec file] [-dry-run]
+  mlcampaign prune [-cache dir] [-ckpt dir] [-older-than dur] [-spec file] [-dry-run]
   mlcampaign record -workload name -out file.mlt [-insts n] [-warmup n] [-seed n] [-skip n] [-selection simpoint|skip:N] [-spec file]
   mlcampaign status [-json] file.jsonl
 `)
@@ -209,7 +210,7 @@ func finishCampaign(sum *microlib.CampaignSummary, err error, format, out, journ
 		exit = 1
 	}
 	if sum.Sched.Degraded > 0 {
-		fmt.Fprintf(os.Stderr, "mlcampaign: %d degraded operations (cache/journal trouble survived; see journal)\n", sum.Sched.Degraded)
+		fmt.Fprintf(os.Stderr, "mlcampaign: %d degraded operations (cache/checkpoint/journal trouble survived; see journal)\n", sum.Sched.Degraded)
 	}
 
 	var report []byte
@@ -620,31 +621,25 @@ func cmdPaths(args []string) {
 	}
 }
 
-// cmdPrune garbage-collects a result cache: cells older than
-// -older-than, or — when -spec is given — cells not reachable from
-// that spec's plan fingerprints, are deleted.
+// cmdPrune garbage-collects a result cache (-cache) and/or a
+// checkpoint store (-ckpt): entries older than -older-than, or — when
+// -spec is given — entries that spec's plan cannot reach (its cell
+// fingerprints, or its warm-up prefix fingerprints), are deleted.
 func cmdPrune(args []string) {
 	fs := flag.NewFlagSet("prune", flag.ExitOnError)
 	var (
 		cacheDir  = fs.String("cache", "", "result cache directory to prune")
-		olderThan = fs.Duration("older-than", 0, "delete cells older than this (e.g. 720h)")
-		specPath  = fs.String("spec", "", "keep only cells reachable from this spec's plan")
+		ckptDir   = fs.String("ckpt", "", "checkpoint directory to prune")
+		olderThan = fs.Duration("older-than", 0, "delete entries older than this (e.g. 720h)")
+		specPath  = fs.String("spec", "", "keep only entries reachable from this spec's plan")
 		dryRun    = fs.Bool("dry-run", false, "report what would be deleted without deleting")
 	)
 	fs.Parse(args)
-	if *cacheDir == "" {
-		fatal(fmt.Errorf("prune: -cache is required"))
+	if *cacheDir == "" && *ckptDir == "" {
+		fatal(fmt.Errorf("prune: -cache or -ckpt is required"))
 	}
 	if *olderThan == 0 && *specPath == "" {
-		fatal(fmt.Errorf("prune: need -older-than and/or -spec to select cells"))
-	}
-	// Inspect only: a mistyped path must fail, not be created.
-	if info, err := os.Stat(*cacheDir); err != nil || !info.IsDir() {
-		fatal(fmt.Errorf("prune: %s is not a cache directory", *cacheDir))
-	}
-	cache, err := microlib.OpenCampaignCache(*cacheDir)
-	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("prune: need -older-than and/or -spec to select entries"))
 	}
 	opts := microlib.CampaignPruneOptions{OlderThan: *olderThan, DryRun: *dryRun}
 	if *specPath != "" {
@@ -658,18 +653,37 @@ func cmdPrune(args []string) {
 		}
 		opts.Keep = plan
 	}
-	res, err := microlib.PruneCampaignCache(cache, opts)
-	if err != nil {
-		fatal(err)
-	}
 	verb := "removed"
 	if *dryRun {
 		verb = "would remove"
 	}
-	for _, e := range res.Removed {
-		fmt.Printf("%s %s (%s, %d bytes)\n", verb, e.Key, e.ModTime.Format("2006-01-02 15:04:05"), e.Size)
+	for _, t := range []struct {
+		dir, what string
+		open      func(string) (microlib.CampaignStore, error)
+	}{
+		{*cacheDir, "cells", func(d string) (microlib.CampaignStore, error) { return microlib.OpenCampaignCache(d) }},
+		{*ckptDir, "checkpoints", func(d string) (microlib.CampaignStore, error) { return microlib.OpenCampaignCheckpointStore(d) }},
+	} {
+		if t.dir == "" {
+			continue
+		}
+		// Inspect only: a mistyped path must fail, not be created.
+		if info, err := os.Stat(t.dir); err != nil || !info.IsDir() {
+			fatal(fmt.Errorf("prune: %s is not a directory", t.dir))
+		}
+		store, err := t.open(t.dir)
+		if err != nil {
+			fatal(err)
+		}
+		res, err := microlib.PruneCampaignCache(store, opts)
+		if err != nil {
+			fatal(err)
+		}
+		for _, e := range res.Removed {
+			fmt.Printf("%s %s (%s, %d bytes)\n", verb, e.Key, e.ModTime.Format("2006-01-02 15:04:05"), e.Size)
+		}
+		fmt.Printf("mlcampaign: %s %d %s (%d bytes), kept %d\n", verb, len(res.Removed), t.what, res.Bytes, res.Kept)
 	}
-	fmt.Printf("mlcampaign: %s %d cells (%d bytes), kept %d\n", verb, len(res.Removed), res.Bytes, res.Kept)
 }
 
 // cmdRecord captures a workload — a built-in benchmark, or any

@@ -2,17 +2,9 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"microlib/internal/core"
-	"microlib/internal/fault"
 )
 
 // CellResult is the serializable outcome of one cell — the subset of
@@ -155,115 +147,41 @@ func (c *LayeredCache) Put(res CellResult) error {
 	return first
 }
 
-// CacheCounters is a snapshot of a DiskCache's access statistics
-// since it was opened: how often the campaign was served from disk,
-// how often it had to simulate, and how much result data moved.
-type CacheCounters struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	BytesRead    uint64 `json:"bytes_read"`
-	Puts         uint64 `json:"puts"`
-	BytesWritten uint64 `json:"bytes_written"`
-	// Corrupt counts entries that failed to decode and were
-	// quarantined to <key>.corrupt (each also counts as a miss).
-	Corrupt uint64 `json:"corrupt,omitempty"`
-}
-
-// DiskCache persists cell results under one directory, one JSON file
-// per fingerprint key. It is safe for concurrent use by the worker
-// pool: writes go through a temp file and an atomic rename, and a
-// torn or corrupt entry reads as a miss, never as bad data.
+// DiskCache persists cell results under one directory, one indented
+// JSON file per fingerprint key, on the shared blob store: atomic
+// writes, corrupt entries quarantined and served as misses. Its
+// degradation ops and fault points carry the "cache" prefix.
 type DiskCache struct {
-	dir string
-
-	// OnDegrade, when non-nil, observes read errors and corrupt-entry
-	// quarantines (ops "cache.get", "cache.corrupt"). Set before the
-	// cache is shared across goroutines.
-	OnDegrade func(Degradation)
-	// Faults, when non-nil, arms the cache fault-injection points
-	// (cache.get.error, cache.get.corrupt, cache.put.error).
-	Faults *fault.Injector
-
-	hits         atomic.Uint64
-	misses       atomic.Uint64
-	bytesRead    atomic.Uint64
-	puts         atomic.Uint64
-	bytesWritten atomic.Uint64
-	corrupt      atomic.Uint64
-}
-
-// Counters returns the access statistics accumulated since the cache
-// was opened. Safe to call concurrently with Get/Put (a metrics
-// endpoint scrapes it mid-run).
-func (c *DiskCache) Counters() CacheCounters {
-	return CacheCounters{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		BytesRead:    c.bytesRead.Load(),
-		Puts:         c.puts.Load(),
-		BytesWritten: c.bytesWritten.Load(),
-		Corrupt:      c.corrupt.Load(),
-	}
+	blobStore
 }
 
 // OpenDiskCache creates (if needed) and opens a cache directory.
 func OpenDiskCache(dir string) (*DiskCache, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: open cache: %w", err)
+	c := &DiskCache{}
+	if err := c.open(dir, ".json", "cache"); err != nil {
+		return nil, err
 	}
-	return &DiskCache{dir: dir}, nil
+	return c, nil
 }
 
-// Dir returns the cache directory.
-func (c *DiskCache) Dir() string { return c.dir }
-
-func (c *DiskCache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
-// Get returns the cached result for key, if present and intact. A
-// corrupt entry is quarantined — renamed to <key>.corrupt so the
-// evidence survives for inspection instead of being overwritten by
-// the resimulated cell — counted, degraded, and served as a miss.
+// Get returns the cached result for key, if present and intact. An
+// undecodable entry, or one whose body names another key, is
+// quarantined and served as a miss.
 func (c *DiskCache) Get(key string) (CellResult, bool) {
-	data, err := os.ReadFile(c.path(key))
-	if ferr := c.Faults.FireErr(fault.CacheGetError, key); ferr != nil {
-		err = ferr
-	}
-	if err != nil {
-		c.misses.Add(1)
-		if !os.IsNotExist(err) {
-			c.degrade(Degradation{Op: "cache.get", Key: key, Err: err})
-		}
-		return CellResult{}, false
-	}
-	if c.Faults.Fire(fault.CacheGetCorrupt, key) {
-		data = data[:len(data)/2] // torn mid-record
-	}
 	var res CellResult
-	if err := json.Unmarshal(data, &res); err != nil || res.Key != key {
-		// A torn or corrupt entry reads as a miss; quarantine it so
-		// the resimulation does not destroy the evidence.
-		c.misses.Add(1)
-		c.corrupt.Add(1)
-		if err == nil {
-			err = ioErrorf("campaign: cache entry %s holds key %s", key, res.Key)
+	ok := c.get(key, func(data []byte) error {
+		if err := json.Unmarshal(data, &res); err != nil {
+			return err
 		}
-		if qerr := os.Rename(c.path(key), filepath.Join(c.dir, key+".corrupt")); qerr != nil {
-			err = ioErrorf("%v (quarantine failed: %v)", err, qerr)
+		if res.Key != key {
+			return ioErrorf("campaign: cache entry %s holds key %s", key, res.Key)
 		}
-		c.degrade(Degradation{Op: "cache.corrupt", Key: key, Err: err})
+		return nil
+	})
+	if !ok {
 		return CellResult{}, false
 	}
-	c.hits.Add(1)
-	c.bytesRead.Add(uint64(len(data)))
 	return res, true
-}
-
-func (c *DiskCache) degrade(d Degradation) {
-	if c.OnDegrade != nil {
-		c.OnDegrade(d)
-	}
 }
 
 // Put stores a successful result under its key.
@@ -274,149 +192,18 @@ func (c *DiskCache) Put(res CellResult) error {
 	if res.Err != "" {
 		return errModelf("campaign: refusing to cache failed cell %s", res.Key)
 	}
-	if err := c.Faults.FireErr(fault.CachePutError, res.Key); err != nil {
-		return err
-	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "."+res.Key+".tmp*")
-	if err != nil {
-		return ioErrorf("campaign: cache write: %v", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return ioErrorf("campaign: cache write: %v", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return ioErrorf("campaign: cache write: %v", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(res.Key)); err != nil {
-		return ioErrorf("campaign: cache write: %v", err)
-	}
-	c.puts.Add(1)
-	c.bytesWritten.Add(uint64(len(data)))
-	return nil
+	return c.put(res.Key, data)
 }
 
-// Entry describes one cached cell file.
-type Entry struct {
-	Key     string
-	ModTime time.Time
-	Size    int64
-}
-
-// Entries lists the cached cells with their file metadata, sorted by
-// key. Unreadable entries are skipped (a concurrent writer's temp
-// files never match the .json suffix, so only real cells appear).
-func (c *DiskCache) Entries() ([]Entry, error) {
-	keys, err := c.Keys()
-	if err != nil {
-		return nil, err
+// reachable implements Store: a spec reads its cells' results.
+func (c *DiskCache) reachable(p *Plan) map[string]bool {
+	keys := make(map[string]bool, len(p.Cells))
+	for _, cell := range p.Cells {
+		keys[cell.Key] = true
 	}
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		info, err := os.Stat(c.path(k))
-		if err != nil {
-			continue
-		}
-		out = append(out, Entry{Key: k, ModTime: info.ModTime(), Size: info.Size()})
-	}
-	return out, nil
-}
-
-// Remove deletes one cached cell. Removing a missing key is not an
-// error (a concurrent prune may have won the race).
-func (c *DiskCache) Remove(key string) error {
-	if err := os.Remove(c.path(key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("campaign: remove cache entry: %w", err)
-	}
-	return nil
-}
-
-// PruneOptions selects which cached cells to delete.
-type PruneOptions struct {
-	// OlderThan removes entries whose file modification time is more
-	// than this duration before Now. Zero disables the age criterion.
-	OlderThan time.Duration
-	// Keep, when non-nil, removes every entry whose key is not one of
-	// the plan's cell fingerprints — cache GC down to exactly the
-	// cells a spec can still reach.
-	Keep *Plan
-	// Now anchors the age comparison; the zero value means
-	// time.Now().
-	Now time.Time
-	// DryRun reports what would be removed without deleting anything.
-	DryRun bool
-}
-
-// PruneResult reports what Prune did (or, for a dry run, would do).
-type PruneResult struct {
-	Removed []Entry
-	Kept    int
-	Bytes   int64 // total size of removed entries
-}
-
-// Prune deletes cached cells per opts: a cell is removed when it is
-// older than the age limit or unreachable from the keep-plan,
-// whichever criteria are enabled.
-func Prune(c *DiskCache, opts PruneOptions) (PruneResult, error) {
-	if opts.OlderThan < 0 {
-		return PruneResult{}, fmt.Errorf("campaign: negative prune age %v", opts.OlderThan)
-	}
-	if opts.OlderThan == 0 && opts.Keep == nil {
-		return PruneResult{}, fmt.Errorf("campaign: prune needs an age limit or a keep plan")
-	}
-	entries, err := c.Entries()
-	if err != nil {
-		return PruneResult{}, err
-	}
-	now := opts.Now
-	if now.IsZero() {
-		now = time.Now()
-	}
-	var reachable map[string]bool
-	if opts.Keep != nil {
-		reachable = make(map[string]bool, len(opts.Keep.Cells))
-		for _, cell := range opts.Keep.Cells {
-			reachable[cell.Key] = true
-		}
-	}
-	var res PruneResult
-	for _, e := range entries {
-		tooOld := opts.OlderThan > 0 && now.Sub(e.ModTime) > opts.OlderThan
-		unreachable := reachable != nil && !reachable[e.Key]
-		if !tooOld && !unreachable {
-			res.Kept++
-			continue
-		}
-		if !opts.DryRun {
-			if err := c.Remove(e.Key); err != nil {
-				return res, err
-			}
-		}
-		res.Removed = append(res.Removed, e)
-		res.Bytes += e.Size
-	}
-	return res, nil
-}
-
-// Keys lists the cached fingerprints, sorted.
-func (c *DiskCache) Keys() ([]string, error) {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: list cache: %w", err)
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		keys = append(keys, strings.TrimSuffix(name, ".json"))
-	}
-	sort.Strings(keys)
-	return keys, nil
+	return keys
 }

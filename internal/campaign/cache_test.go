@@ -143,3 +143,54 @@ func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 		t.Error("mismatched key must read as a miss")
 	}
 }
+
+// A checkpoint store prunes like a result cache, by age and by
+// reachability — there from a plan's warm-up prefix fingerprints.
+func TestPruneCheckpointStore(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stats := runPlan(t, &Scheduler{Warm: NewWarm(store)}, warmSpec()); stats.PrefixRuns != 4 {
+		t.Fatalf("capture run: %+v", stats)
+	}
+
+	// Narrowed to gzip, the spec reaches two of the four prefixes.
+	narrow := warmSpec()
+	narrow.Benchmarks = []string{"gzip"}
+	plan, err := NewPlan(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Prune(store, PruneOptions{Keep: plan, DryRun: true})
+	if err != nil || len(res.Removed) != 2 || res.Kept != 2 {
+		t.Fatalf("dry run: %+v err=%v", res, err)
+	}
+	if keys, _ := store.Keys(); len(keys) != 4 {
+		t.Fatalf("dry run deleted checkpoints: %v", keys)
+	}
+	if _, err := Prune(store, PruneOptions{Keep: plan}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, c := range plan.Cells {
+		want[c.Opts.PrefixFingerprint()] = true
+	}
+	keys, _ := store.Keys()
+	if len(keys) != 2 || !want[keys[0]] || !want[keys[1]] {
+		t.Fatalf("survivors %v are not the plan's prefixes %v", keys, want)
+	}
+
+	past := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(filepath.Join(dir, keys[0]+".ckpt"), past, past); err != nil {
+		t.Fatal(err)
+	}
+	res, err = Prune(store, PruneOptions{OlderThan: 24 * time.Hour})
+	if err != nil || len(res.Removed) != 1 || res.Removed[0].Key != keys[0] || res.Kept != 1 {
+		t.Fatalf("age prune: %+v err=%v", res, err)
+	}
+	if left, _ := store.Keys(); len(left) != 1 || left[0] != keys[1] {
+		t.Fatalf("wrong survivor: %v", left)
+	}
+}

@@ -76,8 +76,8 @@ type RunConfig struct {
 	OnDegrade func(Degradation)
 	OnStall   func(StallReport)
 	// Faults, when non-nil, arms the fault-injection points across
-	// scheduler, disk cache and journal writer. Testing and the
-	// -faults flag only.
+	// scheduler, disk cache, checkpoint store and journal writer.
+	// Testing and the -faults flag only.
 	Faults *fault.Injector
 }
 
@@ -136,6 +136,7 @@ func Execute(ctx context.Context, spec Spec, cfg RunConfig) (*Summary, error) {
 			if err != nil {
 				return nil, err
 			}
+			store.Faults = cfg.Faults
 			store.OnDegrade = sched.Degrade
 		}
 		sched.Warm = NewWarm(store)

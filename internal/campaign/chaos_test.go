@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -15,41 +14,74 @@ import (
 )
 
 // The chaos suite: run campaigns under randomized-but-deterministic
-// fault schedules (cache read/write errors, corruption, cell panics,
-// stalls) and assert the containment invariants hold — no goroutine
-// leaks, well-formed JSONL journals, and bit-identical convergence
-// when the faults clear.
+// fault schedules (cache and checkpoint read/write errors, corruption,
+// cell panics, stalls) and assert the containment invariants hold — no
+// goroutine leaks, well-formed JSONL journals, and bit-identical
+// convergence when the faults clear.
 func TestChaosCampaignsConverge(t *testing.T) {
-	// Reference: the spec's true scenario table, computed fault-free.
-	ref, err := Execute(context.Background(), tinySpec(), RunConfig{Workers: 2})
+	// Reference: the spec's true scenario table, computed fault-free
+	// and cold, so warm runs below are checked against cold ones.
+	ref, err := Execute(context.Background(), tinySpec(), RunConfig{Workers: 2, NoWarm: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	before := runtime.NumGoroutine()
-	for _, seed := range []uint64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			inj := fault.New(seed).
+	for _, tc := range []struct {
+		name string
+		seed uint64
+		ckpt bool // checkpoint faults over a populated -ckpt store
+	}{
+		{"seed1", 1, false}, {"seed2", 2, false}, {"seed3", 3, false},
+		{"ckpt", 4, true},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			inj := fault.New(tc.seed).
 				Enable(fault.CachePutError, 0.4).
 				Enable(fault.CacheGetError, 0.3).
 				Enable(fault.CacheGetCorrupt, 0.3).
 				Enable(fault.CellPanic, 0.25).Limit(fault.CellPanic, 2).
 				Enable(fault.CellSlow, 0.25).Limit(fault.CellSlow, 2)
 			inj.SlowFor = 10 * time.Second
+			var ckptDir string
+			if tc.ckpt {
+				// Checkpoint faults never fail a cell, so this schedule
+				// arms nothing else: the faulted run itself must match
+				// the cold reference (warm ≡ cold under faults).
+				inj = fault.New(tc.seed).
+					Enable(fault.CkptGetError, 0.3).
+					Enable(fault.CkptGetCorrupt, 0.5).
+					Enable(fault.CkptPutError, 0.3)
+				ckptDir = filepath.Join(t.TempDir(), "ckpt")
+				if _, err := Execute(context.Background(), tinySpec(), RunConfig{Workers: 2, CheckpointDir: ckptDir}); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			dir := filepath.Join(t.TempDir(), "cache")
 			var journal bytes.Buffer
 			sum, err := Execute(context.Background(), tinySpec(), RunConfig{
-				Workers:     2,
-				CacheDir:    dir,
-				Journal:     &journal,
-				CellTimeout: 200 * time.Millisecond,
-				Retry:       &RetryPolicy{Max: 2, BaseDelay: time.Millisecond},
-				Faults:      inj,
+				Workers:       2,
+				CacheDir:      dir,
+				CheckpointDir: ckptDir,
+				Journal:       &journal,
+				CellTimeout:   200 * time.Millisecond,
+				Retry:         &RetryPolicy{Max: 2, BaseDelay: time.Millisecond},
+				Faults:        inj,
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.ckpt {
+				for _, p := range []fault.Point{fault.CkptGetError, fault.CkptGetCorrupt, fault.CkptPutError} {
+					if inj.Fired(p) == 0 {
+						t.Fatalf("%s never fired: the schedule does not exercise it", p)
+					}
+				}
+				if !reflect.DeepEqual(sum.Scenarios, ref.Scenarios) {
+					t.Fatalf("checkpoint faults changed results:\n got %+v\nwant %+v", sum.Scenarios, ref.Scenarios)
+				}
 			}
 
 			// Invariant 1: the campaign completes — every cell is
@@ -85,8 +117,9 @@ func TestChaosCampaignsConverge(t *testing.T) {
 			// same (possibly degraded) cache converges to the exact
 			// fault-free result.
 			sum2, err := Execute(context.Background(), tinySpec(), RunConfig{
-				Workers:  2,
-				CacheDir: dir,
+				Workers:       2,
+				CacheDir:      dir,
+				CheckpointDir: ckptDir,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -3,12 +3,6 @@ package campaign
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync/atomic"
 
 	"microlib/internal/runner"
 )
@@ -16,72 +10,23 @@ import (
 // CheckpointStore persists warm-state prefix checkpoints under one
 // directory, one gob file per prefix fingerprint — the content address
 // of everything that shapes the simulation up to the warm-up boundary.
-// It follows the DiskCache contract: writes go through a temp file and
-// an atomic rename, a torn or corrupt entry reads as a miss and is
-// quarantined to <key>.corrupt, and concurrent workers are safe.
-// Unlike cell results, checkpoints are pure accelerators: losing one
-// costs a prefix re-simulation, never a wrong number — every restore
-// is bit-identical to the cold run it replaces.
+// It is a codec over the same blob store as DiskCache (atomic writes,
+// quarantine, counters); its degradation ops and fault points carry
+// the "ckpt" prefix. Unlike cell results, checkpoints are pure
+// accelerators: losing one costs a prefix re-simulation, never a wrong
+// number — every restore is bit-identical to the cold run it replaces.
 type CheckpointStore struct {
-	dir string
-
-	// OnDegrade, when non-nil, observes read errors and corrupt-entry
-	// quarantines (ops "ckpt.get", "ckpt.corrupt"). Set before the
-	// store is shared across goroutines.
-	OnDegrade func(Degradation)
-
-	hits         atomic.Uint64
-	misses       atomic.Uint64
-	puts         atomic.Uint64
-	corrupt      atomic.Uint64
-	bytesRead    atomic.Uint64
-	bytesWritten atomic.Uint64
-}
-
-// CheckpointStoreCounters is a snapshot of a store's access statistics
-// since it was opened.
-type CheckpointStoreCounters struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Puts         uint64 `json:"puts"`
-	Corrupt      uint64 `json:"corrupt,omitempty"`
-	BytesRead    uint64 `json:"bytes_read"`
-	BytesWritten uint64 `json:"bytes_written"`
+	blobStore
 }
 
 // OpenCheckpointStore creates (if needed) and opens a checkpoint
 // directory.
 func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: open checkpoint store: %w", err)
+	s := &CheckpointStore{}
+	if err := s.open(dir, ".ckpt", "ckpt"); err != nil {
+		return nil, err
 	}
-	return &CheckpointStore{dir: dir}, nil
-}
-
-// Dir returns the store directory.
-func (s *CheckpointStore) Dir() string { return s.dir }
-
-// Counters returns the access statistics accumulated since the store
-// was opened. Safe to call concurrently with Get/Put.
-func (s *CheckpointStore) Counters() CheckpointStoreCounters {
-	return CheckpointStoreCounters{
-		Hits:         s.hits.Load(),
-		Misses:       s.misses.Load(),
-		Puts:         s.puts.Load(),
-		Corrupt:      s.corrupt.Load(),
-		BytesRead:    s.bytesRead.Load(),
-		BytesWritten: s.bytesWritten.Load(),
-	}
-}
-
-func (s *CheckpointStore) path(key string) string {
-	return filepath.Join(s.dir, key+".ckpt")
-}
-
-func (s *CheckpointStore) degrade(d Degradation) {
-	if s.OnDegrade != nil {
-		s.OnDegrade(d)
-	}
+	return s, nil
 }
 
 // Get returns the stored checkpoint for a prefix fingerprint, if
@@ -91,33 +36,22 @@ func (s *CheckpointStore) degrade(d Degradation) {
 // served as a miss; a version-skewed entry is just a miss (the next
 // Put overwrites it).
 func (s *CheckpointStore) Get(key string) (*runner.Checkpoint, bool) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		s.misses.Add(1)
-		if !os.IsNotExist(err) {
-			s.degrade(Degradation{Op: "ckpt.get", Key: key, Err: err})
-		}
-		return nil, false
-	}
 	var ck runner.Checkpoint
-	if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); derr != nil || runner.CanonicalKey(ck.Prefix) != key {
-		s.misses.Add(1)
-		s.corrupt.Add(1)
-		if derr == nil {
-			derr = ioErrorf("campaign: checkpoint %s holds prefix %q", key, ck.Prefix)
+	ok := s.get(key, func(data []byte) error {
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
+			return err
 		}
-		if qerr := os.Rename(s.path(key), filepath.Join(s.dir, key+".corrupt")); qerr != nil {
-			derr = ioErrorf("%v (quarantine failed: %v)", derr, qerr)
+		if runner.CanonicalKey(ck.Prefix) != key {
+			return ioErrorf("campaign: checkpoint %s holds prefix %q", key, ck.Prefix)
 		}
-		s.degrade(Degradation{Op: "ckpt.corrupt", Key: key, Err: derr})
+		if ck.Version != runner.CheckpointVersion {
+			return errStale
+		}
+		return nil
+	})
+	if !ok {
 		return nil, false
 	}
-	if ck.Version != runner.CheckpointVersion {
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	s.bytesRead.Add(uint64(len(data)))
 	return &ck, true
 }
 
@@ -135,40 +69,17 @@ func (s *CheckpointStore) Put(key string, ck *runner.Checkpoint) error {
 		// bug, not bad media — so it is deterministic, never retried.
 		return errModelf("campaign: encode checkpoint: %v", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "."+key+".tmp*")
-	if err != nil {
-		return ioErrorf("campaign: checkpoint write: %v", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return ioErrorf("campaign: checkpoint write: %v", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return ioErrorf("campaign: checkpoint write: %v", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		return ioErrorf("campaign: checkpoint write: %v", err)
-	}
-	s.puts.Add(1)
-	s.bytesWritten.Add(uint64(buf.Len()))
-	return nil
+	return s.put(key, buf.Bytes())
 }
 
-// Keys lists the stored prefix fingerprints, sorted.
-func (s *CheckpointStore) Keys() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: list checkpoint store: %w", err)
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".ckpt") {
-			continue
+// reachable implements Store: a spec reads the warm-up prefix of every
+// cell that has one.
+func (s *CheckpointStore) reachable(p *Plan) map[string]bool {
+	keys := make(map[string]bool, len(p.Cells))
+	for _, cell := range p.Cells {
+		if cell.Opts.Warmup > 0 {
+			keys[cell.Opts.PrefixFingerprint()] = true
 		}
-		keys = append(keys, strings.TrimSuffix(name, ".ckpt"))
 	}
-	sort.Strings(keys)
-	return keys, nil
+	return keys
 }

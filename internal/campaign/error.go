@@ -117,7 +117,8 @@ func (p RetryPolicy) Delay(attempt int) time.Duration {
 // full cache directory is visible, not silent.
 type Degradation struct {
 	// Op names the degraded operation: "cache.put", "cache.get",
-	// "cache.corrupt", "cache.backfill".
+	// "cache.corrupt", "cache.backfill", "ckpt.put", "ckpt.get",
+	// "ckpt.corrupt", "warm.restore".
 	Op  string
 	Key string
 	Err error

@@ -31,6 +31,12 @@ const (
 	// CachePutError makes DiskCache.Put fail (a full or read-only
 	// cache directory).
 	CachePutError Point = "cache.put.error"
+	// CkptGetError, CkptGetCorrupt and CkptPutError are the same three
+	// faults on the checkpoint store: a lost or torn checkpoint must
+	// cost a prefix re-simulation, never a different result.
+	CkptGetError   Point = "ckpt.get.error"
+	CkptGetCorrupt Point = "ckpt.get.corrupt"
+	CkptPutError   Point = "ckpt.put.error"
 	// JournalWrite makes the campaign journal writer fail stickily
 	// (its disk filled mid-run).
 	JournalWrite Point = "journal.write.error"
@@ -47,7 +53,9 @@ const (
 func Points() []Point {
 	return []Point{
 		CacheGetCorrupt, CacheGetError, CachePutError,
-		CellPanic, CellSlow, JournalWrite,
+		CellPanic, CellSlow,
+		CkptGetCorrupt, CkptGetError, CkptPutError,
+		JournalWrite,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"microlib/internal/cache"
+	"microlib/internal/mech/mechtest"
 	"microlib/internal/sim"
 )
 
@@ -11,7 +12,7 @@ import (
 type fakeBackend struct{ eng *sim.Engine }
 
 func (f *fakeBackend) Fetch(lineAddr, pc uint64, prefetch bool, sink cache.FillSink) bool {
-	f.eng.After(10, func() { sink.FillLine(lineAddr, f.eng.Now()) })
+	f.eng.AfterFunc(10, mechtest.DeliverFill, sink, nil, lineAddr, 0)
 	return true
 }
 func (f *fakeBackend) WriteBack(lineAddr uint64) bool { return true }

@@ -28,9 +28,14 @@ func (b *Backend) Fetch(lineAddr, pc uint64, prefetch bool, sink cache.FillSink)
 		return false
 	}
 	b.Fetches = append(b.Fetches, lineAddr)
-	//ml:waive hotalloc -- test double: mechtest backs unit tests, never a measured run
-	b.Eng.After(b.Delay, func() { sink.FillLine(lineAddr, b.Eng.Now()) })
+	b.Eng.AfterFunc(b.Delay, DeliverFill, sink, nil, lineAddr, 0)
 	return true
+}
+
+// DeliverFill is the static event that completes a test fetch: the
+// cache.FillSink rides in o1 and the line address in a0.
+func DeliverFill(now uint64, o1, _ any, lineAddr, _ uint64) {
+	o1.(cache.FillSink).FillLine(lineAddr, now)
 }
 
 // WriteBack implements cache.Backend.

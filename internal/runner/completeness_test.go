@@ -44,9 +44,8 @@ var snapshotCoverage = []struct {
 		typ:        sim.Engine{},
 		serialized: []string{"now", "seq", "base", "ring", "occ", "ringCount", "overflow", "scheduled", "executed"},
 		exempt: map[string]string{
-			"promote":        "batch-promotion scratch, empty between advances",
-			"free":           "event-node freelist: an allocation pool, not simulated state",
-			"popwisePromote": "benchmark pricing knob: both promotion strategies produce identical event order",
+			"promote": "batch-promotion scratch, empty between advances",
+			"free":    "event-node freelist: an allocation pool, not simulated state",
 		},
 	},
 	{

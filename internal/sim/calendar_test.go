@@ -48,7 +48,7 @@ func TestPropertySameCycleFIFOAcrossWraparound(t *testing.T) {
 			myID := id
 			id++
 			ref = append(ref, refEvent{when: eng.Now() + d, id: myID})
-			eng.After(d, func() {
+			after(eng, d, func() {
 				got = append(got, myID)
 				if depth > 0 && rng.Intn(2) == 0 {
 					// Nested scheduling from a handler, including
@@ -98,11 +98,11 @@ func TestOverflowPromotionOrder(t *testing.T) {
 	eng := NewEngine()
 	target := uint64(3 * ringSize)
 	var got []int
-	eng.At(target, func() { got = append(got, 0) }) // overflow
-	eng.At(target, func() { got = append(got, 1) }) // overflow
+	at(eng, target, func() { got = append(got, 0) }) // overflow
+	at(eng, target, func() { got = append(got, 1) }) // overflow
 	// Slide the window until target is inside it, then schedule direct.
 	eng.AdvanceTo(target - 10)
-	eng.At(target, func() { got = append(got, 2) }) // ring, after promotion
+	at(eng, target, func() { got = append(got, 2) }) // ring, after promotion
 	eng.AdvanceTo(target)
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("promotion broke FIFO: %v", got)
@@ -115,9 +115,9 @@ func TestOverflowPromotionOrder(t *testing.T) {
 func TestRingWraparoundSameBucket(t *testing.T) {
 	eng := NewEngine()
 	var got []uint64
-	eng.At(5, func() {
+	at(eng, 5, func() {
 		got = append(got, eng.Now())
-		eng.At(5+ringSize, func() { got = append(got, eng.Now()) })
+		at(eng, 5+ringSize, func() { got = append(got, eng.Now()) })
 	})
 	eng.AdvanceTo(5 + 2*ringSize)
 	if len(got) != 2 || got[0] != 5 || got[1] != 5+ringSize {
@@ -129,34 +129,31 @@ func TestRingWraparoundSameBucket(t *testing.T) {
 // random slabs of far-future events (with same-cycle collisions) land
 // in the overflow heap and a single window jump promotes them all at
 // once, tripping the partition-and-reheapify switch past the pop
-// limit. Execution order is checked against a stable sort, and
-// against the popwise (one-pop-at-a-time) algorithm running the
-// identical schedule — the two promotion strategies must be
-// order-equivalent, not just order-correct.
+// limit. The last rounds draw slabs below promoteBatchMin, which
+// promote by heap pops alone. Execution order is checked against a
+// stable sort on scheduling order.
 func TestPropertySlabPromotionFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for round := 0; round < 20; round++ {
+	for round := 0; round < 30; round++ {
 		slab := 64 + rng.Intn(512)
+		if round >= 20 {
+			slab = 1 + rng.Intn(promoteBatchMin-1)
+		}
 		delays := make([]uint64, slab)
 		for i := range delays {
 			// Far-future, concentrated on few cycles for FIFO pressure.
 			delays[i] = uint64(ringSize + rng.Intn(64)*97)
 		}
-		run := func(popwise bool) []int {
-			eng := NewEngine()
-			eng.popwisePromote = popwise
-			var got []int
-			for i, d := range delays {
-				i := i
-				eng.After(d, func() { got = append(got, i) })
-			}
-			eng.AdvanceTo(eng.Now() + 8*ringSize)
-			if eng.Pending() != 0 {
-				t.Fatalf("round %d: %d events never ran", round, eng.Pending())
-			}
-			return got
+		eng := NewEngine()
+		var got []int
+		for i, d := range delays {
+			i := i
+			after(eng, d, func() { got = append(got, i) })
 		}
-		batch, popwise := run(false), run(true)
+		eng.AdvanceTo(eng.Now() + 8*ringSize)
+		if eng.Pending() != 0 {
+			t.Fatalf("round %d: %d events never ran", round, eng.Pending())
+		}
 
 		ref := make([]refEvent, slab)
 		for i, d := range delays {
@@ -164,11 +161,8 @@ func TestPropertySlabPromotionFIFO(t *testing.T) {
 		}
 		sort.SliceStable(ref, func(i, j int) bool { return ref[i].when < ref[j].when })
 		for i := range ref {
-			if batch[i] != ref[i].id {
-				t.Fatalf("round %d: batch promotion broke FIFO at %d: got %d want %d", round, i, batch[i], ref[i].id)
-			}
-			if popwise[i] != ref[i].id {
-				t.Fatalf("round %d: popwise promotion broke FIFO at %d: got %d want %d", round, i, popwise[i], ref[i].id)
+			if got[i] != ref[i].id {
+				t.Fatalf("round %d (slab %d): promotion broke FIFO at %d: got %d want %d", round, slab, i, got[i], ref[i].id)
 			}
 		}
 	}
@@ -180,7 +174,7 @@ func TestPropertySlabPromotionFIFO(t *testing.T) {
 func TestIdleJumpOverEmptyWindow(t *testing.T) {
 	eng := NewEngine()
 	ran := 0
-	eng.At(100, func() { ran++ })
+	at(eng, 100, func() { ran++ })
 	eng.AdvanceTo(50_000_000)
 	if ran != 1 || eng.Now() != 50_000_000 || eng.Pending() != 0 {
 		t.Fatalf("long jump broke engine: ran=%d now=%d pending=%d", ran, eng.Now(), eng.Pending())
@@ -188,7 +182,7 @@ func TestIdleJumpOverEmptyWindow(t *testing.T) {
 	if next, ok := eng.NextEventAt(); ok {
 		t.Fatalf("phantom event at %d", next)
 	}
-	eng.After(7, func() { ran++ })
+	after(eng, 7, func() { ran++ })
 	if next, ok := eng.NextEventAt(); !ok || next != eng.Now()+7 {
 		t.Fatalf("NextEventAt=%d,%v want %d", next, ok, eng.Now()+7)
 	}

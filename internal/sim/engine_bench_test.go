@@ -2,26 +2,15 @@ package sim
 
 import "testing"
 
-// BenchmarkAfterDrain is the canonical kernel steady state (see
-// RunSteadyState): schedule near-future events through the closure
-// API and drain them. The hoisted closure makes the measurement the
-// kernel's own cost; the CI bench gate requires 0 allocs/op here.
-func BenchmarkAfterDrain(b *testing.B) {
-	eng := NewEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	if RunSteadyState(eng, b.N, false) == 0 {
-		b.Fatal("no events ran")
-	}
-}
-
-// BenchmarkAfterFuncDrain measures the pooled static-trampoline path
-// used by the hot components.
+// BenchmarkAfterFuncDrain is the canonical kernel steady state (see
+// RunSteadyState): schedule near-future events through the pooled
+// static-trampoline path and drain them. The CI bench gate requires
+// 0 allocs/op here.
 func BenchmarkAfterFuncDrain(b *testing.B) {
 	eng := NewEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
-	if RunSteadyState(eng, b.N, true) == 0 {
+	if RunSteadyState(eng, b.N) == 0 {
 		b.Fatal("no events ran")
 	}
 }
@@ -32,11 +21,11 @@ func BenchmarkAfterFuncDrain(b *testing.B) {
 func BenchmarkOverflowPromotion(b *testing.B) {
 	eng := NewEngine()
 	n := 0
-	fn := func() { n++ }
+	fn := Func(func(uint64, any, any, uint64, uint64) { n++ })
 	// Prime the node pool and heap backing to the steady-state
 	// backlog (~2*ringSize events in flight).
 	for i := 0; i < 4*ringSize; i++ {
-		eng.After(ringSize+uint64(i%1024), fn)
+		eng.AfterFunc(ringSize+uint64(i%1024), fn, nil, nil, 0, 0)
 		if i%64 == 63 {
 			eng.AdvanceTo(eng.Now() + 64)
 		}
@@ -45,7 +34,7 @@ func BenchmarkOverflowPromotion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.After(ringSize+uint64(i%1024), fn)
+		eng.AfterFunc(ringSize+uint64(i%1024), fn, nil, nil, 0, 0)
 		if i%64 == 63 {
 			eng.AdvanceTo(eng.Now() + 64)
 		}
@@ -61,29 +50,12 @@ func BenchmarkOverflowPromotion(b *testing.B) {
 // through the batch partition-and-reheapify path.
 func BenchmarkSlabPromotion(b *testing.B) {
 	eng := NewEngine()
-	RunSlabPromotion(eng, 4096, false) // prime pools and scratch
+	RunSlabPromotion(eng, 4096) // prime pools and scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	var fired uint64
 	for i := 0; i < b.N; i++ {
-		fired += RunSlabPromotion(eng, 4096, false)
-	}
-	if fired == 0 {
-		b.Fatal("no events ran")
-	}
-}
-
-// BenchmarkSlabPromotionPopwise runs the identical workload with
-// promotion pinned to one-at-a-time heap pops — the baseline the
-// batch path is priced against (mlbench records the delta).
-func BenchmarkSlabPromotionPopwise(b *testing.B) {
-	eng := NewEngine()
-	RunSlabPromotion(eng, 4096, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var fired uint64
-	for i := 0; i < b.N; i++ {
-		fired += RunSlabPromotion(eng, 4096, true)
+		fired += RunSlabPromotion(eng, 4096)
 	}
 	if fired == 0 {
 		b.Fatal("no events ran")
@@ -95,11 +67,11 @@ func BenchmarkSlabPromotionPopwise(b *testing.B) {
 // skipping.
 func BenchmarkIdleAdvance(b *testing.B) {
 	eng := NewEngine()
-	fn := func() {}
+	fn := Func(func(uint64, any, any, uint64, uint64) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.After(100_000, fn)
+		eng.AfterFunc(100_000, fn, nil, nil, 0, 0)
 		eng.AdvanceTo(eng.Now() + 100_000)
 	}
 }

@@ -6,12 +6,18 @@ import (
 	"testing/quick"
 )
 
+// at and after schedule a test closure through the pooled path: the
+// func() rides in o1 and a static trampoline calls it.
+func at(e *Engine, cycle uint64, fn func())   { e.AtFunc(cycle, callO1, fn, nil, 0, 0) }
+func after(e *Engine, d uint64, fn func())    { e.AfterFunc(d, callO1, fn, nil, 0, 0) }
+func callO1(_ uint64, o1, _ any, _, _ uint64) { o1.(func())() }
+
 func TestEventOrdering(t *testing.T) {
 	eng := NewEngine()
 	var got []uint64
 	for _, d := range []uint64{5, 1, 3, 2, 4} {
 		d := d
-		eng.After(d, func() { got = append(got, d) })
+		after(eng, d, func() { got = append(got, d) })
 	}
 	eng.AdvanceTo(10)
 	for i := 1; i < len(got); i++ {
@@ -29,7 +35,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.At(7, func() { got = append(got, i) })
+		at(eng, 7, func() { got = append(got, i) })
 	}
 	eng.AdvanceTo(7)
 	if !sort.IntsAreSorted(got) {
@@ -45,7 +51,7 @@ func TestPastSchedulingPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	eng.At(5, func() {})
+	at(eng, 5, func() {})
 }
 
 func TestAdvanceSetsNow(t *testing.T) {
@@ -59,9 +65,9 @@ func TestAdvanceSetsNow(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	eng := NewEngine()
 	var fired []uint64
-	eng.At(5, func() {
+	at(eng, 5, func() {
 		fired = append(fired, eng.Now())
-		eng.After(3, func() { fired = append(fired, eng.Now()) })
+		after(eng, 3, func() { fired = append(fired, eng.Now()) })
 	})
 	eng.AdvanceTo(20)
 	if len(fired) != 2 || fired[0] != 5 || fired[1] != 8 {
@@ -73,7 +79,7 @@ func TestDrainLimit(t *testing.T) {
 	eng := NewEngine()
 	ran := 0
 	for i := uint64(1); i <= 10; i++ {
-		eng.At(i, func() { ran++ })
+		at(eng, i, func() { ran++ })
 	}
 	n := eng.Drain(5)
 	if n != 5 || ran != 5 {
@@ -86,8 +92,8 @@ func TestDrainLimit(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	eng := NewEngine()
-	eng.After(1, func() {})
-	eng.After(2, func() {})
+	after(eng, 1, func() {})
+	after(eng, 2, func() {})
 	eng.AdvanceTo(3)
 	sched, exec := eng.Stats()
 	if sched != 2 || exec != 2 {
@@ -103,7 +109,7 @@ func TestPropertyTimestampMonotonic(t *testing.T) {
 		last := uint64(0)
 		ok := true
 		for _, d := range delays {
-			eng.After(uint64(d%32), func() {
+			after(eng, uint64(d%32), func() {
 				if eng.Now() < last {
 					ok = false
 				}

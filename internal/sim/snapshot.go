@@ -76,10 +76,8 @@ type EngineState struct {
 
 // Snapshot captures every pending event. resolve maps an operand value
 // to its OpRef (returning false when it does not recognize the value);
-// it is never called for nil operands. Snapshot fails if any pending
-// event was scheduled through the legacy closure entry points (At /
-// After) — closures have no serializable identity — or carries an
-// unregistered Func.
+// it is never called for nil operands. Snapshot fails if a pending
+// event carries an unregistered Func or an unresolvable operand.
 func (e *Engine) Snapshot(resolve func(any) (OpRef, bool)) (EngineState, error) {
 	evs := make([]*event, 0, e.Pending())
 	for i := range e.ring {
@@ -92,9 +90,6 @@ func (e *Engine) Snapshot(resolve func(any) (OpRef, bool)) (EngineState, error) 
 
 	out := make([]EventState, 0, len(evs))
 	for _, ev := range evs {
-		if ev.call == nil {
-			return EngineState{}, fmt.Errorf("sim: closure event pending at cycle %d cannot be serialized", ev.when)
-		}
 		name, ok := funcNames[reflect.ValueOf(ev.call).Pointer()]
 		if !ok {
 			return EngineState{}, fmt.Errorf("sim: unregistered event func pending at cycle %d", ev.when)

@@ -390,21 +390,37 @@ func LoadCampaignSpec(path string) (CampaignSpec, error) { return campaign.LoadS
 // NewCampaignPlan normalizes and expands a spec into its cell plan.
 func NewCampaignPlan(spec CampaignSpec) (*CampaignPlan, error) { return campaign.NewPlan(spec) }
 
-// CampaignPruneOptions selects which cached campaign cells to delete.
+// CampaignCheckpointStore is the persistent warm-state checkpoint
+// store (the -ckpt directory).
+type CampaignCheckpointStore = campaign.CheckpointStore
+
+// CampaignStore is either persistent campaign store: a result cache
+// or a checkpoint store.
+type CampaignStore = campaign.Store
+
+// CampaignPruneOptions selects which stored campaign entries to
+// delete.
 type CampaignPruneOptions = campaign.PruneOptions
 
 // CampaignPruneResult reports what PruneCampaignCache removed.
 type CampaignPruneResult = campaign.PruneResult
 
-// PruneCampaignCache garbage-collects a campaign result cache by age
-// and/or reachability from a plan's cell fingerprints.
-func PruneCampaignCache(c *CampaignCache, opts CampaignPruneOptions) (CampaignPruneResult, error) {
-	return campaign.Prune(c, opts)
+// PruneCampaignCache garbage-collects a campaign result cache or
+// checkpoint store by age and/or reachability from a plan (its cell
+// fingerprints, or its warm-up prefix fingerprints).
+func PruneCampaignCache(s CampaignStore, opts CampaignPruneOptions) (CampaignPruneResult, error) {
+	return campaign.Prune(s, opts)
 }
 
 // OpenCampaignCache creates (if needed) and opens a result cache
 // directory.
 func OpenCampaignCache(dir string) (*CampaignCache, error) { return campaign.OpenDiskCache(dir) }
+
+// OpenCampaignCheckpointStore creates (if needed) and opens a
+// checkpoint directory.
+func OpenCampaignCheckpointStore(dir string) (*CampaignCheckpointStore, error) {
+	return campaign.OpenCheckpointStore(dir)
+}
 
 // CampaignMemories returns the valid memory-model names for a
 // campaign spec.
